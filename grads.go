@@ -432,7 +432,7 @@ var registry = map[string]experiment{
 				return "", err
 			}
 			return "extension — sharded multi-site kernel: scaling curve on the 10k-node\n" +
-				"synthetic grid (single kernel vs conservatively synchronized shards)\n\n" +
+				"synthetic grid (per-site fabrics on 1, 2, 4 and 8 shard kernels)\n\n" +
 				experiments.FormatScale(vs), nil
 		},
 	},

@@ -25,80 +25,43 @@ func SetShards(n int) {
 	shardsOverride = n
 }
 
-// Shards returns the configured shard-kernel count.
-func Shards() int { return shardsOverride }
-
-// ScaleVariant is one row of the scaling curve: a kernel architecture run
-// over the identical 10k-node workload, with its wall-clock time and its
-// virtual end state (which must match the oracle's exactly on the per-site
-// fabric).
+// ScaleVariant is one row of the scaling curve: the sharded kernel at one
+// shard count over the identical 10k-node workload, with its wall-clock time
+// and its virtual end state (RunScaleCurve checks it equals the x1 run's).
 type ScaleVariant struct {
-	Name         string
-	Shards       int
-	SharedFabric bool
-	Wall         time.Duration
-	Result       *shardsim.Result
-	StatsMatch   bool // virtual stats equal to the shards=1 per-site run
+	Shards int
+	Wall   time.Duration
+	Result *shardsim.Result
 }
 
 // RunScaleCurve runs the 10k-node synthetic workload (16 mega-sites x 640
-// nodes; see shardsim.ScaleConfig) under the pre-sharding single-kernel
-// architecture and under the sharded kernel at 1, 2, 4 and 8 shards,
-// measuring wall-clock time. The virtual end state of every per-site-fabric
-// run must be identical; the shared-fabric baseline must agree on the
-// workload-level counters. Wall-clock numbers vary by host, so the scale
-// experiment is excluded from `gradsim -exp all` and from the determinism
-// contract — BENCH_shard.json is its CI-gated form.
+// nodes; see shardsim.ScaleConfig) on the sharded kernel at 1, 2, 4 and 8
+// shards, measuring wall-clock time. The virtual end state of every run must
+// be identical to the x1 run's. Wall-clock numbers vary by host, so the
+// scale experiment is excluded from `gradsim -exp all` and from the
+// determinism contract — BENCH_shard.json is its CI-gated form.
 func RunScaleCurve(seed int64) ([]ScaleVariant, error) {
-	variants := []ScaleVariant{
-		{Name: "single-kernel", Shards: 1, SharedFabric: true},
-		{Name: "sharded x1", Shards: 1},
-		{Name: "sharded x2", Shards: 2},
-		{Name: "sharded x4", Shards: 4},
-		{Name: "sharded x8", Shards: 8},
-	}
+	variants := []ScaleVariant{{Shards: 1}, {Shards: 2}, {Shards: 4}, {Shards: 8}}
 	var oracle *shardsim.Result
 	for i := range variants {
 		v := &variants[i]
 		cfg := shardsim.ScaleConfig(seed)
 		cfg.Shards = v.Shards
-		cfg.SharedFabric = v.SharedFabric
 		start := time.Now()
 		r := shardsim.RunScenario(cfg)
 		v.Wall = time.Since(start)
 		v.Result = r
 		if len(r.Violations) > 0 {
-			return nil, fmt.Errorf("scale: %s violated invariants: %s",
-				v.Name, strings.Join(r.Violations, "; "))
-		}
-		if v.SharedFabric {
-			// The legacy fabric partitions bandwidth over a different flow
-			// universe, so only the workload counters are comparable.
-			continue
+			return nil, fmt.Errorf("scale: sharded x%d violated invariants: %s",
+				v.Shards, strings.Join(r.Violations, "; "))
 		}
 		if oracle == nil {
 			oracle = r
-			v.StatsMatch = true
-			continue
 		}
-		v.StatsMatch = r.FinalTime == oracle.FinalTime &&
-			r.Events == oracle.Events && r.Rounds == oracle.Rounds &&
-			r.Delivered == oracle.Delivered && r.JobsDone == oracle.JobsDone &&
-			r.JobsRequeued == oracle.JobsRequeued
-		if !v.StatsMatch {
-			return nil, fmt.Errorf("scale: %s diverged from the sharded x1 oracle", v.Name)
-		}
-	}
-	for i := range variants {
-		v := &variants[i]
-		if !v.SharedFabric {
-			continue
-		}
-		r, o := v.Result, oracle
-		v.StatsMatch = r.JobsDone == o.JobsDone && r.HaloAcked == o.HaloAcked &&
-			r.CkptAcked == o.CkptAcked && r.LeaseGranted == o.LeaseGranted
-		if !v.StatsMatch {
-			return nil, fmt.Errorf("scale: shared-fabric workload counters diverged")
+		if r.FinalTime != oracle.FinalTime || r.Events != oracle.Events ||
+			r.Rounds != oracle.Rounds || r.Delivered != oracle.Delivered ||
+			r.JobsDone != oracle.JobsDone || r.JobsRequeued != oracle.JobsRequeued {
+			return nil, fmt.Errorf("scale: sharded x%d diverged from the sharded x1 oracle", v.Shards)
 		}
 	}
 	return variants, nil
@@ -109,20 +72,16 @@ func FormatScale(vs []ScaleVariant) string {
 	base := vs[0].Wall.Seconds()
 	t := &Table{Header: []string{"variant", "shards", "wall_s", "speedup", "events", "rounds", "jobs_done", "stats"}}
 	for _, v := range vs {
-		stats := "match"
-		if !v.StatsMatch {
-			stats = "DIVERGED"
-		}
-		t.Add(v.Name, fmt.Sprint(v.Shards), fmt.Sprintf("%.2f", v.Wall.Seconds()),
+		t.Add(fmt.Sprintf("sharded x%d", v.Shards), fmt.Sprint(v.Shards), fmt.Sprintf("%.2f", v.Wall.Seconds()),
 			fmt.Sprintf("%.2fx", base/v.Wall.Seconds()),
 			fmt.Sprint(v.Result.Events), fmt.Sprint(v.Result.Rounds),
-			fmt.Sprint(v.Result.JobsDone), stats)
+			fmt.Sprint(v.Result.JobsDone), "match")
 	}
 	r := vs[0].Result
 	return t.String() + fmt.Sprintf(
 		"\n10240 nodes over 16 sites; %d jobs done, %d requeued, %.0f MB staged,\n"+
-			"%d crash commands, %d recoveries. speedup is single-kernel wall time\n"+
-			"over the variant's; the per-site-fabric rows are byte-equivalent.\n",
+			"%d crash commands, %d recoveries. speedup is the x1 wall time over the\n"+
+			"variant's; shards run on one goroutine and every row is byte-equivalent.\n",
 		r.JobsDone, r.JobsRequeued, r.StagedMB, r.CrashCmds, r.Recoveries)
 }
 

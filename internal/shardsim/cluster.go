@@ -1,28 +1,30 @@
 // Package shardsim runs the multi-site Grid emulation on several simcore
-// kernels at once, synchronized conservatively. Each Site owns its own
-// telemetry hub, RNG and netsim fabric (the dirty-component boundary the
-// incremental solver computes is made structural: a site's LAN never shares
-// a solver with another site's), and sites are assigned round-robin to
-// shards — worker kernels that advance in barrier-synchronous rounds.
+// kernels, synchronized conservatively. Each Site owns its own telemetry hub,
+// RNG and netsim fabric (the dirty-component boundary the incremental solver
+// computes is made structural: a site's LAN never shares a solver with
+// another site's), and sites are assigned round-robin to shards — kernels
+// that advance in barrier-synchronous rounds, one after another on the
+// calling goroutine. Shards are a site-isolation partition, not a parallel
+// executor: identical traces under every partition show that each site
+// depends only on its own timestamped inputs. The per-site fabrics, not the
+// shard count, carry the speedup over one fabric shared by every site.
 //
 // Time synchronization is classic conservative (CMB-style) lookahead: the
 // minimum WAN latency between any two sites bounds how far ahead of the
 // global lower bound on timestamps (LBTS) any shard may safely run. Every
 // round the coordinator computes T, the earliest pending event or in-flight
 // message anywhere, opens the window [T, H) with H = max(T+minLookahead,
-// nextafter(T)), injects every message due before H, and lets all shards
-// process their queues up to (but excluding) H in parallel. A message sent
-// at time t carries Deliver >= t + minLookahead >= H, so nothing sent during
-// a round can land inside it.
+// nextafter(T)), injects every message due before H, and runs each shard's
+// queue up to (but excluding) H in shard order. A message sent at time t
+// carries Deliver >= t + minLookahead >= H, so nothing sent during a round
+// can land inside it.
 //
-// Determinism is by construction rather than by locking: the round sequence
-// depends only on event and delivery timestamps, which are site-local facts;
-// messages are injected at barriers in a canonical (Deliver, Src, send-seq)
-// order; and each site's behavior depends only on its own timestamped
-// inputs. Runs with any shard count — including the single-kernel oracle at
-// Shards=1, which executes the identical round structure inline on one
-// kernel — therefore produce byte-identical merged traces (see MergedTrace
-// and the differential tests).
+// Determinism is by construction: the round sequence depends only on event
+// and delivery timestamps, which are site-local facts; messages are injected
+// at barriers in a canonical (Deliver, Src, send-seq) order; and each site's
+// behavior depends only on its own timestamped inputs. Runs with any shard
+// count — including the single-kernel oracle at Shards=1 — therefore produce
+// byte-identical merged traces (see MergedTrace and the differential tests).
 package shardsim
 
 import (
@@ -38,10 +40,10 @@ import (
 
 // Config configures a Cluster.
 type Config struct {
-	// Shards is the requested number of worker kernels. It is clamped to
-	// [1, number of sites], and forced to 1 when any WAN pair has
-	// non-positive latency (no lookahead — the oracle path) or when
-	// SharedFabric is set.
+	// Shards is the requested number of shard kernels; sites are assigned
+	// round-robin onto them. It is clamped to [1, number of sites], and
+	// forced to 1 when any WAN pair has non-positive latency (no lookahead —
+	// the oracle path).
 	Shards int
 
 	// Seed derives every site's RNG and each shard kernel's seed.
@@ -50,19 +52,10 @@ type Config struct {
 	// Trace attaches a buffer sink to every site hub so MergedTrace can
 	// reconstruct the canonical global stream. Benchmarks leave it off.
 	Trace bool
-
-	// SharedFabric recreates the pre-sharding architecture for baseline
-	// benchmarks: one kernel and ONE netsim.Network carrying every site's
-	// LAN link, so every flow event pays the global all-flows costs the
-	// per-site fabrics eliminate. It forces Shards=1. Traces from a shared
-	// fabric are not byte-comparable to per-site-fabric runs (the solver's
-	// advance partition differs), so it is excluded from equivalence
-	// checks and used only by BENCH_shard.
-	SharedFabric bool
 }
 
 // Message is one cross-site event in flight. Payload fields are plain data
-// (no pointers) so a message can cross shard goroutines without sharing.
+// (no pointers), so a message carries no state of its sender's site.
 type Message struct {
 	Deliver  float64 // arrival virtual time at Dst
 	Src, Dst int     // site indices
@@ -85,12 +78,11 @@ type Site struct {
 
 	Sim *simcore.Sim         // the shard kernel this site runs on
 	Tel *telemetry.Telemetry // site-local hub; clock bound to Sim
-	Net *netsim.Network      // site-local fabric (shared in SharedFabric mode)
+	Net *netsim.Network      // site-local fabric
 	LAN *netsim.Link         // the site LAN inside Net
 	RNG *rand.Rand           // site-private; never draw from Sim.Rand
 
 	cl       *Cluster
-	shard    int
 	buf      *telemetry.Buffer
 	handler  Handler
 	outbox   []Message
@@ -150,13 +142,6 @@ func (s *Site) Send(dst, kind int, a, b int64, f, bytes float64) float64 {
 	return deliver
 }
 
-// shard is one worker kernel plus its barrier-round plumbing.
-type shard struct {
-	sim   *simcore.Sim
-	bound chan float64
-	done  chan struct{}
-}
-
 // Cluster owns the shards, the WAN matrix and the inter-shard mail. Build
 // one with NewCluster, add sites and WAN links, Finalize, install scenario
 // state, then Run.
@@ -171,7 +156,7 @@ type Cluster struct {
 	decls []siteDecl
 	conns []connDecl
 
-	shards       []*shard
+	shards       []*simcore.Sim
 	minLA        float64
 	forcedOracle bool
 	finalized    bool
@@ -227,8 +212,7 @@ func (c *Cluster) Connect(i, j int, bw, lat float64) {
 // Finalize builds the shard kernels and per-site state. The effective shard
 // count is Config.Shards clamped to the site count, forced to 1 when the
 // minimum WAN latency is non-positive (zero lookahead: conservative windows
-// cannot open, so the single-kernel oracle path is used) or when
-// SharedFabric is set.
+// cannot open, so the single-kernel oracle path is used).
 func (c *Cluster) Finalize() {
 	if c.finalized {
 		panic("shardsim: Finalize twice")
@@ -266,32 +250,26 @@ func (c *Cluster) Finalize() {
 	if shards > n {
 		shards = n
 	}
-	if c.forcedOracle || c.cfg.SharedFabric {
+	if c.forcedOracle {
 		shards = 1
 	}
-	c.shards = make([]*shard, shards)
+	c.shards = make([]*simcore.Sim, shards)
 	for i := range c.shards {
-		c.shards[i] = &shard{sim: simcore.New(c.cfg.Seed + int64(i)*7907)}
-	}
-
-	var sharedNet *netsim.Network
-	if c.cfg.SharedFabric {
-		sharedNet = netsim.New(c.shards[0].sim)
+		c.shards[i] = simcore.New(c.cfg.Seed + int64(i)*7907)
 	}
 
 	c.sites = make([]*Site, n)
 	c.pending = make([][]Message, n)
 	for i, d := range ds {
-		sh := i % shards
-		sim := c.shards[sh].sim
+		sim := c.shards[i%shards]
 		s := &Site{
 			Idx:      i,
 			Name:     d.name,
 			Sim:      sim,
 			Tel:      telemetry.New(),
+			Net:      netsim.New(sim),
 			RNG:      rand.New(rand.NewSource(c.cfg.Seed + 104729*int64(i+1))),
 			cl:       c,
-			shard:    sh,
 			nextFree: make([]float64, n),
 		}
 		if c.cfg.Trace {
@@ -299,11 +277,6 @@ func (c *Cluster) Finalize() {
 			s.Tel.AddSink(s.buf)
 		}
 		s.Tel.SetClock(sim.Now)
-		if sharedNet != nil {
-			s.Net = sharedNet
-		} else {
-			s.Net = netsim.New(sim)
-		}
 		s.LAN = s.Net.AddLink("lan/"+d.name, d.lanBW, d.lanLat)
 		c.sites[i] = s
 	}
@@ -322,10 +295,6 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // oracle path regardless of the requested shard count.
 func (c *Cluster) ForcedOracle() bool { return c.forcedOracle }
 
-// MinLookahead returns the conservative lookahead: the minimum WAN latency
-// over all connected pairs.
-func (c *Cluster) MinLookahead() float64 { return c.minLA }
-
 // Rounds returns the number of barrier rounds executed so far.
 func (c *Cluster) Rounds() uint64 { return c.rounds }
 
@@ -335,8 +304,8 @@ func (c *Cluster) Delivered() uint64 { return c.delivered }
 // EventsFired sums fired kernel events over all shards.
 func (c *Cluster) EventsFired() uint64 {
 	var n uint64
-	for _, sh := range c.shards {
-		n += sh.sim.EventsFired()
+	for _, sim := range c.shards {
+		n += sim.EventsFired()
 	}
 	return n
 }
@@ -352,24 +321,11 @@ func (c *Cluster) RunUntil(horizon float64) float64 {
 	if !c.finalized {
 		panic("shardsim: Run before Finalize")
 	}
-	parallel := len(c.shards) > 1
-	if parallel {
-		for _, sh := range c.shards {
-			sh.bound = make(chan float64)
-			sh.done = make(chan struct{})
-			go func(sh *shard) {
-				for b := range sh.bound {
-					sh.sim.RunBefore(b)
-					sh.done <- struct{}{}
-				}
-			}(sh)
-		}
-	}
 	for {
 		// T: the global lower bound on anything that can still happen.
 		T := math.Inf(1)
-		for _, sh := range c.shards {
-			if t, ok := sh.sim.NextEventTime(); ok && t < T {
+		for _, sim := range c.shards {
+			if t, ok := sim.NextEventTime(); ok && t < T {
 				T = t
 			}
 		}
@@ -392,26 +348,14 @@ func (c *Cluster) RunUntil(horizon float64) float64 {
 		}
 		c.inject(H)
 		c.rounds++
-		if parallel {
-			for _, sh := range c.shards {
-				sh.bound <- H
-			}
-			for _, sh := range c.shards {
-				<-sh.done
-			}
-		} else {
-			c.shards[0].sim.RunBefore(H)
+		for _, sim := range c.shards {
+			sim.RunBefore(H)
 		}
 		c.collect()
 	}
-	if parallel {
-		for _, sh := range c.shards {
-			close(sh.bound)
-		}
-	}
 	var now float64
-	for _, sh := range c.shards {
-		if t := sh.sim.Now(); t > now {
+	for _, sim := range c.shards {
+		if t := sim.Now(); t > now {
 			now = t
 		}
 	}
@@ -458,8 +402,8 @@ func (c *Cluster) inject(bound float64) {
 }
 
 // collect drains every site's outbox into the per-destination pending
-// queues, in site-index order. It runs at the barrier, after all shards
-// have parked.
+// queues, in site-index order. It runs at the barrier, after every shard
+// has reached the round's bound.
 func (c *Cluster) collect() {
 	for _, s := range c.sites {
 		for _, m := range s.outbox {

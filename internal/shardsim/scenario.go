@@ -49,7 +49,6 @@ type ScenarioConfig struct {
 	NodesPerSite int
 	Seed         int64
 	Shards       int
-	SharedFabric bool // pre-sharding baseline fabric; see Config.SharedFabric
 	Trace        bool // collect per-site telemetry for the merged trace
 
 	Jobs        int     // jobs per site
@@ -139,9 +138,9 @@ func ScaleConfig(seed int64) ScenarioConfig {
 	}
 }
 
-// Result aggregates a scenario run. Every field except the cluster handle is
-// derived from virtual-time state, so it is identical across shard counts on
-// the per-site fabric.
+// Result aggregates a scenario run. Every field except Shards and the
+// cluster handle is derived from virtual-time state, so it is identical
+// across shard counts.
 type Result struct {
 	Shards       int
 	ForcedOracle bool
@@ -214,7 +213,7 @@ func RunScenario(cfg ScenarioConfig) *Result {
 	if cfg.Stagers < 1 {
 		cfg.Stagers = 1
 	}
-	cl := NewCluster(Config{Shards: cfg.Shards, Seed: cfg.Seed, SharedFabric: cfg.SharedFabric, Trace: cfg.Trace})
+	cl := NewCluster(Config{Shards: cfg.Shards, Seed: cfg.Seed, Trace: cfg.Trace})
 	for i := 0; i < cfg.Sites; i++ {
 		cl.AddSite(fmt.Sprintf("site%02d", i), cfg.LANBW, cfg.LANLatency)
 	}

@@ -217,20 +217,37 @@ func TestRemoteCrashLandsOnRemoteShard(t *testing.T) {
 	}
 }
 
-// TestSharedFabricBaseline: the pre-sharding architecture must run the same
-// workload to the same virtual quiescence (virtual stats match the per-site
-// fabric) even though its trace bytes are not comparable.
-func TestSharedFabricBaseline(t *testing.T) {
-	cfg := ChaosSmokeConfig(11)
-	ref := runVariant(t, cfg, 1)
-	cfg.SharedFabric = true
-	legacy := runVariant(t, cfg, 4)
-	if legacy.Shards != 1 {
-		t.Fatalf("shared fabric must force one kernel, got %d", legacy.Shards)
+// TestScaleWarmupFabricsIsolated: on the ScaleConfig shape shrunk to four
+// sites (the benchmark warm-up), every site must carry its own fabric that
+// holds no other site's LAN, and the solver work summed over the sites must
+// stay within the recorded ceilings. The per-site split is what keeps each
+// flow event from re-solving every site's flows, so a fabric shared again,
+// or a solver doing more work per event, fails here deterministically.
+func TestScaleWarmupFabricsIsolated(t *testing.T) {
+	const maxPasses, maxFlowsSolved = 1192, 57388
+	cfg := ScaleConfig(1)
+	cfg.Sites, cfg.Jobs, cfg.Crashes = 4, 150, 2
+	r := runVariant(t, cfg, 1)
+	sites := r.cluster.Sites()
+	var passes, flowsSolved int64
+	for i, s := range sites {
+		for j, o := range sites {
+			if i != j && s.Net == o.Net {
+				t.Fatalf("sites %s and %s share a fabric", s.Name, o.Name)
+			}
+			if i != j && s.Net.Link("lan/"+o.Name) != nil {
+				t.Fatalf("site %s's fabric carries lan/%s", s.Name, o.Name)
+			}
+		}
+		p, f := s.Net.SolverStats()
+		passes += p
+		flowsSolved += f
 	}
-	if legacy.JobsDone != ref.JobsDone || legacy.HaloAcked != ref.HaloAcked ||
-		legacy.CkptAcked != ref.CkptAcked || legacy.LeaseGranted != ref.LeaseGranted {
-		t.Fatalf("shared-fabric stats diverge: %+v vs %+v", legacy, ref)
+	if passes == 0 || passes > maxPasses {
+		t.Errorf("solver passes = %d, want 1..%d", passes, maxPasses)
+	}
+	if flowsSolved == 0 || flowsSolved > maxFlowsSolved {
+		t.Errorf("flows solved = %d, want 1..%d", flowsSolved, maxFlowsSolved)
 	}
 }
 
