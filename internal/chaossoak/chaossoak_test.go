@@ -127,3 +127,26 @@ func TestRunRejectsInvalidConfig(t *testing.T) {
 		}
 	}
 }
+
+// TestBrokerRoundWorkCeilings holds the broker's admission-round work on
+// the seed-1 smoke soak (rounds run, mapper calls made) to exact measured
+// ceilings. The simulation is deterministic, so any growth is a regression
+// in the admission round, not noise.
+func TestBrokerRoundWorkCeilings(t *testing.T) {
+	const maxRounds, maxPlacements = 1217, 470
+	tel := telemetry.New()
+	cfg := SmokeConfig(1)
+	cfg.Telemetry = tel
+	if _, err := Run(cfg); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	rounds := tel.Counter("metasched", "rounds").Value()
+	placements := tel.Counter("metasched", "placements").Value()
+	t.Logf("rounds=%d placements=%d", rounds, placements)
+	if rounds == 0 || rounds > maxRounds {
+		t.Errorf("metasched rounds = %d, want 1..%d", rounds, maxRounds)
+	}
+	if placements == 0 || placements > maxPlacements {
+		t.Errorf("metasched placements = %d, want 1..%d", placements, maxPlacements)
+	}
+}

@@ -27,6 +27,7 @@ type checker struct {
 	sim   *simcore.Sim
 	sched *metasched.Scheduler
 	jobs  int
+	all   []*metasched.Job // every submission, captured once
 
 	proc       *simcore.Proc
 	checks     int
@@ -39,8 +40,10 @@ type checker struct {
 	lastServed int
 }
 
+// newChecker builds the checker once every job has been submitted: it
+// captures the job list then, so sweeps need not copy it.
 func newChecker(sim *simcore.Sim, sched *metasched.Scheduler, jobs int) *checker {
-	return &checker{sim: sim, sched: sched, jobs: jobs}
+	return &checker{sim: sim, sched: sched, jobs: jobs, all: sched.Jobs()}
 }
 
 // start spawns the sweep daemon. done short-circuits it once the stream has
@@ -135,7 +138,7 @@ func (c *checker) sweep(now float64) {
 	// 3. Checkpoint integrity: restores must never consume corrupt bytes.
 	// Report increments, not levels, so one bad read is one violation.
 	served := 0
-	for _, j := range c.sched.Jobs() {
+	for _, j := range c.all {
 		if r := j.RSS(); r != nil {
 			served += r.CorruptServed()
 		}

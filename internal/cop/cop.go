@@ -7,7 +7,9 @@
 package cop
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"grads/internal/binder"
 	"grads/internal/simcore"
@@ -17,6 +19,13 @@ import (
 // Mapper determines how to map an application's tasks to a set of
 // resources: given the available pool it selects and orders the nodes the
 // application should run on.
+//
+// Two contracts let the metascheduler broker many jobs over one free pool
+// cheaply. Map returns a subset of pool (no node twice), so a pool smaller
+// than a job's required width can be skipped without mapping. And
+// implementations must be comparable values whose Map result depends only
+// on the value, the pool and avail: the broker keys a per-round placement
+// memo by the mapper, so jobs of the same shape are mapped once per pool.
 type Mapper interface {
 	Map(pool []*topology.Node, avail func(*topology.Node) float64) []*topology.Node
 }
@@ -82,29 +91,27 @@ func (m GreedyMapper) Map(pool []*topology.Node, avail func(*topology.Node) floa
 	if len(pool) == 0 || m.Width <= 0 {
 		return nil
 	}
-	speed := func(n *topology.Node) float64 {
+	// Each node's forecast effective speed is computed once; failed nodes
+	// are never schedulable.
+	alive := make([]rated, 0, len(pool))
+	for _, n := range pool {
+		if n.Down() {
+			continue
+		}
 		a := 1.0
 		if avail != nil {
 			a = avail(n)
 		}
-		return n.Spec.Flops() * a
+		alive = append(alive, rated{node: n, speed: n.Spec.Flops() * a})
 	}
-	// Failed nodes are never schedulable.
-	var alive []*topology.Node
-	for _, n := range pool {
-		if !n.Down() {
-			alive = append(alive, n)
-		}
-	}
-	pool = alive
 	if !m.SameSite {
-		return topFastest(pool, m.Width, speed)
+		return topFastest(alive, m.Width)
 	}
 	// Per site: aggregate lock-step rate of its best min(width, |site|)
 	// nodes = count * slowest-selected speed.
-	bySite := map[string][]*topology.Node{}
-	for _, n := range pool {
-		bySite[n.Site().Name] = append(bySite[n.Site().Name], n)
+	bySite := map[string][]rated{}
+	for _, r := range alive {
+		bySite[r.node.Site().Name] = append(bySite[r.node.Site().Name], r)
 	}
 	var bestSet []*topology.Node
 	bestRate := -1.0
@@ -115,36 +122,56 @@ func (m GreedyMapper) Map(pool []*topology.Node, avail func(*topology.Node) floa
 	}
 	sort.Strings(names)
 	for _, s := range names {
-		sel := topFastest(bySite[s], m.Width, speed)
-		if len(sel) == 0 {
-			continue
+		site := bySite[s]
+		sortRated(site)
+		if len(site) > m.Width {
+			site = site[:m.Width]
 		}
-		slowest := speed(sel[len(sel)-1])
-		rate := float64(len(sel)) * slowest
+		rate := float64(len(site)) * site[len(site)-1].speed
 		if rate > bestRate {
-			bestRate, bestSet = rate, sel
+			bestRate, bestSet = rate, nodesOf(site)
 		}
 	}
 	return bestSet
 }
 
-// topFastest returns up to k nodes sorted by descending speed (name-stable).
-func topFastest(pool []*topology.Node, k int, speed func(*topology.Node) float64) []*topology.Node {
-	sel := append([]*topology.Node(nil), pool...)
-	sortNodes(sel, speed)
-	if len(sel) > k {
-		sel = sel[:k]
-	}
-	return sel
+// rated is a node with its forecast effective speed.
+type rated struct {
+	node  *topology.Node
+	speed float64
 }
 
-// sortNodes orders nodes by descending speed, ties broken by name.
-func sortNodes(ns []*topology.Node, speed func(*topology.Node) float64) {
-	sort.SliceStable(ns, func(i, j int) bool {
-		si, sj := speed(ns[i]), speed(ns[j])
-		if si != sj {
-			return si > sj
+// topFastest returns up to k nodes sorted by descending speed (name-stable).
+// It reorders rs.
+func topFastest(rs []rated, k int) []*topology.Node {
+	sortRated(rs)
+	if len(rs) > k {
+		rs = rs[:k]
+	}
+	return nodesOf(rs)
+}
+
+// sortRated orders nodes by descending speed, ties broken by name.
+func sortRated(rs []rated) {
+	slices.SortStableFunc(rs, func(a, b rated) int {
+		if a.speed != b.speed {
+			if a.speed > b.speed {
+				return -1
+			}
+			return 1
 		}
-		return ns[i].Name() < ns[j].Name()
+		return strings.Compare(a.node.Name(), b.node.Name())
 	})
+}
+
+// nodesOf returns the nodes of rs in order (nil when rs is empty).
+func nodesOf(rs []rated) []*topology.Node {
+	if len(rs) == 0 {
+		return nil
+	}
+	out := make([]*topology.Node, len(rs))
+	for i, r := range rs {
+		out[i] = r.node
+	}
+	return out
 }

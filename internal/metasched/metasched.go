@@ -3,6 +3,8 @@ package metasched
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"grads/internal/appmgr"
@@ -35,6 +37,8 @@ const (
 	// degradation — the job stops consuming admission rounds and leases,
 	// but stays accounted for (it is not lost).
 	JobQuarantined
+
+	numJobStates = iota // the number of states: StateCounts' array length
 )
 
 // String names the state for reports.
@@ -253,7 +257,15 @@ type Scheduler struct {
 
 	jobs   []*Job // by ID
 	byName map[string]*Job
-	queued []*Job
+	queued []*Job // in compareQueued order
+
+	// Round buffers, reused across admission rounds: the eligible jobs,
+	// their admission-order keys, and the placement memo of the current
+	// free pool (one Map per mapper value) with its Map-call count.
+	eligible []*Job
+	keys     []queueKey
+	placed   map[cop.Mapper][]*topology.Node
+	mapCalls int
 
 	proc      *simcore.Proc
 	inRound   bool
@@ -300,6 +312,7 @@ func New(cfg Config) (*Scheduler, error) {
 		resch:  rescheduler.New(cfg.Grid, cfg.Weather),
 		pricer: economy.NewSpotPricer(cfg.PriceFloor, cfg.PriceAlpha),
 		byName: make(map[string]*Job),
+		placed: make(map[cop.Mapper][]*topology.Node),
 	}
 	return s, nil
 }
@@ -350,6 +363,13 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if spec.Make == nil {
 		return nil, fmt.Errorf("metasched: job %s needs a COP factory", spec.Name)
 	}
+	// A NaN bid would make the queue order depend on the sort algorithm,
+	// and a non-finite time or estimate has no place on the virtual clock.
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	if !finite(spec.Submit) || !finite(spec.Bid) || !finite(spec.EstRuntime) {
+		return nil, fmt.Errorf("metasched: job %s needs finite Submit, Bid and EstRuntime, got %v, %v, %v",
+			spec.Name, spec.Submit, spec.Bid, spec.EstRuntime)
+	}
 	job := &Job{ID: len(s.jobs) + 1, Spec: spec, state: JobPending, submitAt: spec.Submit}
 	s.jobs = append(s.jobs, job)
 	s.byName[spec.Name] = job
@@ -374,7 +394,7 @@ func (s *Scheduler) arrive(job *Job) {
 	job.cop = app
 	job.state = JobQueued
 	job.enqueuedAt = s.cfg.Sim.Now()
-	s.queued = append(s.queued, job)
+	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Counter(s.comp, "submissions").Inc()
 		tel.Emit(telemetry.Event{
@@ -512,67 +532,88 @@ func (s *Scheduler) round(p *simcore.Proc) {
 	}
 	prio := func(j *Job) float64 { return s.pricer.EffectivePriority(j.Spec.Bid) }
 
+	// The price, the clock and eligibility are fixed for the whole round
+	// (admission never yields), so the queue is ordered once; each admitted
+	// job leaves that order in place, and the free pool changes only then.
+	now := p.Now()
+	order := orderQueue(s.cfg.Policy, s.eligibleQueued(now), prio, s.keys)
+	s.keys = order
+	clear(s.placed)
+	s.mapCalls = 0
+
 	// Admission loop: admit heads while they fit; under backfill, let
 	// safe smaller jobs around a blocked head. Jobs inside their requeue
-	// backoff window are invisible to the round.
-	for {
-		eligible := s.eligibleQueued(p.Now())
-		if len(eligible) == 0 {
+	// backoff window are invisible to the round, and every job needs at
+	// least one node, so an empty pool admits nothing.
+	for len(order) > 0 && len(free) > 0 {
+		admitted := -1
+		head := order[0].job
+		if nodes := s.placement(head, free, avail); len(nodes) >= s.needWidth(head) && s.admit(p, head, nodes) {
+			admitted = 0
+		} else if s.cfg.Policy == PolicyBackfill && len(order) > 1 {
+			shadow, extra := backfillWindow(now, len(free), s.needWidth(head), s.runningJobs())
+			for i, k := range order[1:] {
+				cand := k.job
+				nodes := s.placement(cand, free, avail)
+				if len(nodes) < s.needWidth(cand) {
+					continue
+				}
+				if now+cand.Spec.EstRuntime > shadow && len(nodes) > extra {
+					continue // would delay the head's reservation
+				}
+				if s.admit(p, cand, nodes) {
+					admitted = i + 1
+					break
+				}
+			}
+		}
+		if admitted < 0 {
 			break
 		}
-		order := orderQueue(s.cfg.Policy, eligible, prio)
-		head := order[0]
-		if nodes := s.placement(head, free, avail); len(nodes) >= s.needWidth(head) {
-			if s.admit(p, head, nodes) {
-				free = s.leases.Free(snap.Nodes)
-				continue
-			}
-		}
-		if s.cfg.Policy != PolicyBackfill || len(order) == 1 {
-			break
-		}
-		shadow, extra := backfillWindow(p.Now(), len(free), s.needWidth(head), s.runningJobs())
-		admitted := false
-		for _, cand := range order[1:] {
-			nodes := s.placement(cand, free, avail)
-			if len(nodes) < s.needWidth(cand) {
-				continue
-			}
-			if p.Now()+cand.Spec.EstRuntime > shadow && len(nodes) > extra {
-				continue // would delay the head's reservation
-			}
-			if s.admit(p, cand, nodes) {
-				free = s.leases.Free(snap.Nodes)
-				admitted = true
-				break
-			}
-		}
-		if !admitted {
-			break
-		}
+		order = slices.Delete(order, admitted, admitted+1)
+		free = s.leases.Free(snap.Nodes)
+		clear(s.placed)
 	}
 
-	s.considerPreemption(p.Now(), free, avail, prio)
+	s.considerPreemption(now, free, order)
+	if tel := s.cfg.Sim.Telemetry(); tel != nil {
+		tel.Counter(s.comp, "rounds").Inc()
+		tel.Counter(s.comp, "placements").Add(uint64(s.mapCalls))
+	}
 }
 
-// eligibleQueued returns the queued jobs admissible now: those not parked
-// inside a requeue-backoff window.
+// eligibleQueued returns the queued jobs admissible now, in queue order:
+// those not parked inside a requeue-backoff window. The slice is a round
+// buffer, valid until the next call.
 func (s *Scheduler) eligibleQueued(now float64) []*Job {
 	if s.cfg.RequeueBackoff <= 0 {
 		return s.queued
 	}
-	out := make([]*Job, 0, len(s.queued))
+	s.eligible = s.eligible[:0]
 	for _, j := range s.queued {
 		if j.notBefore <= now {
-			out = append(out, j)
+			s.eligible = append(s.eligible, j)
 		}
 	}
-	return out
+	return s.eligible
 }
 
-// placement maps a queued job over the free pool through its own mapper.
+// placement maps a queued job over the free pool through its own mapper,
+// at most once per mapper value and pool (the memo is cleared whenever the
+// pool changes). A pool narrower than the job's need is not mapped: a
+// mapper returns a subset of its pool, so it could not fit.
 func (s *Scheduler) placement(job *Job, free []*topology.Node, avail func(*topology.Node) float64) []*topology.Node {
-	return job.cop.Mapper().Map(free, avail)
+	if len(free) < s.needWidth(job) {
+		return nil
+	}
+	m := job.cop.Mapper()
+	nodes, ok := s.placed[m]
+	if !ok {
+		nodes = m.Map(free, avail)
+		s.placed[m] = nodes
+		s.mapCalls++
+	}
+	return nodes
 }
 
 // needWidth is the lease size the broker insists on for a job right now:
@@ -629,13 +670,19 @@ func (s *Scheduler) admit(p *simcore.Proc, job *Job, nodes []*topology.Node) boo
 	return true
 }
 
+// enqueue inserts a job into the admission queue at its compareQueued
+// position.
+func (s *Scheduler) enqueue(job *Job) {
+	i, _ := slices.BinarySearchFunc(s.queued, job, func(q, j *Job) int {
+		return compareQueued(s.cfg.Policy, q, j)
+	})
+	s.queued = slices.Insert(s.queued, i, job)
+}
+
 // dequeue removes a job from the admission queue.
 func (s *Scheduler) dequeue(job *Job) {
-	for i, j := range s.queued {
-		if j == job {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			return
-		}
+	if i := slices.Index(s.queued, job); i >= 0 {
+		s.queued = slices.Delete(s.queued, i, i+1)
 	}
 }
 
@@ -713,7 +760,7 @@ func (s *Scheduler) requeue(job *Job, rep *appmgr.Report) {
 	}
 	job.state = JobQueued
 	job.enqueuedAt = s.cfg.Sim.Now()
-	s.queued = append(s.queued, job)
+	s.enqueue(job)
 	if tel := s.cfg.Sim.Telemetry(); tel != nil {
 		tel.Counter(s.comp, "requeues").Inc()
 	}
@@ -786,13 +833,12 @@ func (s *Scheduler) finish(job *Job, rep *appmgr.Report, err error) {
 // negotiates a stop-and-shrink of a lower-priority running job with the
 // rescheduler. The victim checkpoints through SRS, its lease shrinks at the
 // next segment boundary, and the freed nodes let the starving job in.
-func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail func(*topology.Node) float64, prio func(*Job) float64) {
-	eligible := s.eligibleQueued(now)
-	if s.cfg.Policy == PolicyFIFO || s.cfg.StarveAfter <= 0 || len(eligible) == 0 {
+// order is the round's admission order of the jobs still queued.
+func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, order []queueKey) {
+	if s.cfg.Policy == PolicyFIFO || s.cfg.StarveAfter <= 0 || len(order) == 0 {
 		return
 	}
-	order := orderQueue(s.cfg.Policy, eligible, prio)
-	head := order[0]
+	head := order[0].job
 	if now-head.enqueuedAt < s.cfg.StarveAfter {
 		return
 	}
@@ -800,10 +846,14 @@ func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail
 	if need <= 0 {
 		return // head is blocked on shape (e.g. same-site), not capacity
 	}
-	headPrio := prio(head)
+	headPrio := order[0].prio
 	var victims []*rescheduler.Preemptee
 	for _, j := range s.runningJobs() {
-		if j.preemptPending || j.lease == nil || prio(j) >= headPrio {
+		if j.preemptPending || j.lease == nil {
+			continue
+		}
+		prio := s.pricer.EffectivePriority(j.Spec.Bid)
+		if prio >= headPrio {
 			continue
 		}
 		victims = append(victims, &rescheduler.Preemptee{
@@ -811,7 +861,7 @@ func (s *Scheduler) considerPreemption(now float64, free []*topology.Node, avail
 			App:      j.cop.Model(),
 			Nodes:    j.lease.Nodes(),
 			MinNodes: j.minWidth(),
-			Priority: prio(j),
+			Priority: prio,
 		})
 	}
 	if plan := s.resch.PlanPreemption(victims, need); plan != nil {
@@ -886,11 +936,12 @@ func (s *Scheduler) Quarantined() int { return s.quarantined }
 // storms.
 func (s *Scheduler) Brownouts() int { return s.brownouts }
 
-// StateCounts tallies every submitted job by lifecycle state — the
-// conservation ledger the chaos soak checks each tick: the counts must
-// always sum to the number of submissions, whatever faults are in flight.
-func (s *Scheduler) StateCounts() map[JobState]int {
-	out := make(map[JobState]int)
+// StateCounts tallies every submitted job by lifecycle state, indexed by
+// JobState — the conservation ledger the chaos soak checks each tick: the
+// counts must always sum to the number of submissions, whatever faults are
+// in flight.
+func (s *Scheduler) StateCounts() [numJobStates]int {
+	var out [numJobStates]int
 	for _, j := range s.jobs {
 		out[j.state]++
 	}

@@ -160,13 +160,13 @@ func TestOrderQueuePolicies(t *testing.T) {
 	a, b, c := mk(1, 0, 1), mk(2, 5, 9), mk(3, 10, 9)
 	prio := func(j *Job) float64 { return j.Spec.Bid }
 
-	fifo := orderQueue(PolicyFIFO, []*Job{c, a, b}, prio)
-	if fifo[0] != a || fifo[1] != b || fifo[2] != c {
-		t.Fatalf("fifo order = %v,%v,%v", fifo[0].ID, fifo[1].ID, fifo[2].ID)
+	fifo := orderQueue(PolicyFIFO, []*Job{c, a, b}, prio, nil)
+	if fifo[0].job != a || fifo[1].job != b || fifo[2].job != c {
+		t.Fatalf("fifo order = %v,%v,%v", fifo[0].id, fifo[1].id, fifo[2].id)
 	}
-	pr := orderQueue(PolicyPriority, []*Job{c, a, b}, prio)
-	if pr[0] != b || pr[1] != c || pr[2] != a {
-		t.Fatalf("priority order = %v,%v,%v", pr[0].ID, pr[1].ID, pr[2].ID)
+	pr := orderQueue(PolicyPriority, []*Job{c, a, b}, prio, nil)
+	if pr[0].job != b || pr[1].job != c || pr[2].job != a {
+		t.Fatalf("priority order = %v,%v,%v", pr[0].id, pr[1].id, pr[2].id)
 	}
 	if _, err := ParsePolicy("lottery"); err == nil {
 		t.Fatal("unknown policy accepted")
@@ -360,6 +360,13 @@ func TestSubmitValidation(t *testing.T) {
 		{Name: "b", Width: 0, Make: ok.Make}, // no width
 		{Name: "c", Width: 2, MinWidth: 4, Make: ok.Make}, // min > width
 		{Name: "d", Width: 2},                             // no factory
+		{Name: "e", Width: 2, Make: ok.Make, Bid: math.NaN()},
+		{Name: "f", Width: 2, Make: ok.Make, Bid: math.Inf(1)},
+		{Name: "g", Width: 2, Make: ok.Make, Bid: math.Inf(-1)},
+		{Name: "h", Width: 2, Make: ok.Make, Submit: math.NaN()},
+		{Name: "i", Width: 2, Make: ok.Make, Submit: math.Inf(1)},
+		{Name: "j", Width: 2, Make: ok.Make, EstRuntime: math.NaN()},
+		{Name: "k", Width: 2, Make: ok.Make, EstRuntime: math.Inf(1)},
 	}
 	for i, spec := range bad {
 		if _, err := s.Submit(spec); err == nil {
@@ -488,5 +495,35 @@ func TestNamedBrokerTelemetry(t *testing.T) {
 	}
 	if got := tel.Counter("metasched", "submissions").Value(); got != 0 {
 		t.Fatalf("bare metasched submissions = %d, want 0", got)
+	}
+}
+
+// TestSameShapeJobsMappedPerPool: jobs of one shape share a placement only
+// while the free pool is unchanged. Three 4-wide farms on the 12-node
+// testbed all fit at once, so the first round admits all three, mapping
+// once per pool (three Map calls), and a stale placement from before an
+// admission never reaches the lease ledger.
+func TestSameShapeJobsMappedPerPool(t *testing.T) {
+	r := newRig(8)
+	tel := telemetry.New()
+	r.sim.SetTelemetry(tel)
+	s, err := New(r.config(PolicyFIFO))
+	if err != nil {
+		t.Fatalf("new: %v", err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		mustSubmit(t, s, farmSpec(name, 0, 4, 4, 1, 2, 100))
+	}
+	s.Start()
+	r.sim.RunUntil(9) // the first round (tick 5) and not the second
+
+	if got := s.Admissions(); got != 3 {
+		t.Fatalf("first round admitted %d jobs, want 3", got)
+	}
+	if got := tel.Counter("metasched", "rounds").Value(); got != 1 {
+		t.Fatalf("rounds = %d, want 1", got)
+	}
+	if got := tel.Counter("metasched", "placements").Value(); got != 3 {
+		t.Fatalf("placements = %d, want 3 (one per free pool)", got)
 	}
 }

@@ -1,9 +1,10 @@
 package metasched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Policy names a queue-ordering discipline for the admission queue.
@@ -35,26 +36,69 @@ func ParsePolicy(s string) (Policy, error) {
 	return "", fmt.Errorf("metasched: unknown queue policy %q (want fifo, priority or priority-backfill)", s)
 }
 
-// orderQueue returns the queued jobs in admission order under the policy.
-// FIFO orders by queue-entry time (ties by job ID); the priority policies
-// order by descending effective priority, with entry time then ID breaking
-// ties so equal bids degrade to FIFO.
-func orderQueue(policy Policy, queued []*Job, prio func(*Job) float64) []*Job {
-	order := append([]*Job(nil), queued...)
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+// queueKey is one queued job's admission-order key. The round computes it
+// once per job: the effective priority under the round's posted price (0
+// under FIFO), the queue-entry time and the ID.
+type queueKey struct {
+	prio float64
+	enq  float64
+	id   int
+	job  *Job
+}
+
+// compareKeys orders keys by descending priority, then entry time, then
+// ID. Bids are finite and IDs unique, so this is a total order and any sort
+// yields the same admission order.
+func compareKeys(a, b queueKey) int {
+	if a.prio != b.prio {
+		if a.prio > b.prio {
+			return -1
+		}
+		return 1
+	}
+	if a.enq != b.enq {
+		if a.enq < b.enq {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// orderQueue returns the jobs in admission order under the policy, as keys
+// written into keys (whose capacity is reused). FIFO orders by queue-entry
+// time (ties by job ID); the priority policies order by descending
+// effective priority, with entry time then ID breaking ties so equal bids
+// degrade to FIFO. prio is called once per job.
+func orderQueue(policy Policy, jobs []*Job, prio func(*Job) float64, keys []queueKey) []queueKey {
+	keys = keys[:0]
+	for _, j := range jobs {
+		k := queueKey{enq: j.enqueuedAt, id: j.ID, job: j}
 		if policy != PolicyFIFO {
-			pa, pb := prio(a), prio(b)
-			if pa != pb {
-				return pa > pb
-			}
+			k.prio = prio(j)
 		}
-		if a.enqueuedAt != b.enqueuedAt {
-			return a.enqueuedAt < b.enqueuedAt
+		keys = append(keys, k)
+	}
+	slices.SortStableFunc(keys, compareKeys)
+	return keys
+}
+
+// compareQueued is the price-free order the admission queue is kept in:
+// under the priority policies bid descending (non-positive bids count as
+// 0), then queue-entry time, then ID; under FIFO only the last two. One
+// positive price divides every bid, so the round's priced order differs
+// from this one only where rounding makes quotients tie, and its sort
+// starts from nearly sorted input.
+func compareQueued(policy Policy, a, b *Job) int {
+	if policy != PolicyFIFO {
+		if c := cmp.Compare(max(b.Spec.Bid, 0), max(a.Spec.Bid, 0)); c != 0 {
+			return c
 		}
-		return a.ID < b.ID
-	})
-	return order
+	}
+	if c := cmp.Compare(a.enqueuedAt, b.enqueuedAt); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
 }
 
 // backfillWindow computes the EASY reservation for the blocked head job:
@@ -85,7 +129,7 @@ func backfillWindow(now float64, free int, headNeed int, running []*Job) (shadow
 		}
 		rel = append(rel, release{at: at, width: j.lease.Size()})
 	}
-	sort.SliceStable(rel, func(i, j int) bool { return rel[i].at < rel[j].at })
+	slices.SortStableFunc(rel, func(a, b release) int { return cmp.Compare(a.at, b.at) })
 	avail := free
 	for _, r := range rel {
 		avail += r.width
